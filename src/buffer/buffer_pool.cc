@@ -11,6 +11,18 @@
 
 namespace bpw {
 
+namespace {
+
+// Liveness bound shared by FetchPage's lookup loop and AcquireFrame's wait
+// for an unpinned frame: a mapped frame normally becomes pinnable, and a
+// pinned frame unpinned, within micro- to milliseconds (a handful of
+// yields). Orders of magnitude past that means the pool is wedged — the
+// kind of state fault-injection and mutation testing deliberately produce —
+// and an error beats an unkillable spin loop.
+constexpr int kStuckSpinLimit = 1'000'000;
+
+}  // namespace
+
 // ---------------------------------------------------------------- PageHandle
 
 PageHandle& PageHandle::operator=(PageHandle&& other) noexcept {
@@ -20,7 +32,9 @@ PageHandle& PageHandle::operator=(PageHandle&& other) noexcept {
     page_ = other.page_;
     frame_ = other.frame_;
     data_ = other.data_;
+    session_pins_ = other.session_pins_;
     other.pool_ = nullptr;
+    other.session_pins_ = nullptr;
   }
   return *this;
 }
@@ -36,7 +50,9 @@ void PageHandle::MarkDirty() {
 void PageHandle::Release() {
   if (pool_ != nullptr) {
     pool_->Unpin(frame_, /*mark_dirty=*/false);
+    session_pins_->fetch_sub(1, std::memory_order_relaxed);
     pool_ = nullptr;
+    session_pins_ = nullptr;
   }
 }
 
@@ -186,7 +202,9 @@ StatusOr<FrameId> BufferPool::AcquireFrame(Session& session,
            !meta.io_busy.load(std::memory_order_relaxed);
   };
 
-  for (int attempt = 0;; ++attempt) {
+  int races = 0;
+  int waits = 0;
+  for (;;) {
     // Fast path: an unused frame.
     {
       SpinLockGuard guard(free_lock_);
@@ -202,9 +220,15 @@ StatusOr<FrameId> BufferPool::AcquireFrame(Session& session,
     auto victim_or = coordinator_->ChooseVictim(session.slot_.get(),
                                                 evictable, incoming);
     if (!victim_or.ok()) {
-      if (attempt >= config_.eviction_retries) return victim_or.status();
-      // Everything evictable was pinned at sweep time; give pin holders a
-      // chance to release.
+      // Every frame was pinned (or mid-I/O) at sweep time. That is
+      // transient unless this session holds all the pins itself: then only
+      // its own releases could free a frame, and waiting would never end.
+      if (session.live_pins_.load(std::memory_order_relaxed) >=
+              config_.num_frames ||
+          ++waits > kStuckSpinLimit) {
+        return victim_or.status();
+      }
+      // Give pin holders a chance to release.
       BPW_SCHEDULE_YIELD("pool.evict_retry");
       continue;
     }
@@ -230,7 +254,7 @@ StatusOr<FrameId> BufferPool::AcquireFrame(Session& session,
         coordinator_->CompleteMiss(session.slot_.get(), victim.page,
                                    victim.frame);
       }
-      if (attempt >= config_.eviction_retries) {
+      if (races++ >= config_.eviction_retries) {
         return Status::ResourceExhausted(
             "buffer pool: eviction kept racing with pinners");
       }
@@ -287,12 +311,6 @@ StatusOr<PageHandle> BufferPool::FetchPage(Session& session, PageId page) {
   if (page >= storage_->num_pages()) {
     return Status::InvalidArgument("page id beyond storage");
   }
-  // Liveness bound: a mapped frame normally becomes pinnable as soon as its
-  // evictor/loader finishes (micro- to milliseconds, so a handful of
-  // yields). Orders of magnitude past that means the mapping is wedged —
-  // the kind of state fault-injection and mutation testing deliberately
-  // produce — and an error beats an unkillable spin loop.
-  constexpr int kStuckSpinLimit = 1'000'000;
   for (int spin = 0;; ++spin) {
     if (spin > kStuckSpinLimit) {
       return Status::Internal("page " + std::to_string(page) +
@@ -305,7 +323,8 @@ StatusOr<PageHandle> BufferPool::FetchPage(Session& session, PageId page) {
         ++session.stats_.hits;
         BPW_METRIC_ADD(metric_hits_, 1);
         coordinator_->OnHit(session.slot_.get(), page, frame);
-        return PageHandle(this, page, frame, FrameData(frame));
+        return PageHandle(this, page, frame, FrameData(frame),
+                          &session.live_pins_);
       }
       // Mapped but mid-eviction or re-used: let the evictor finish.
       BPW_SCHEDULE_YIELD("pool.fetch_busy_retry");
@@ -365,7 +384,8 @@ StatusOr<PageHandle> BufferPool::FetchPage(Session& session, PageId page) {
     ++session.stats_.misses;
     BPW_METRIC_ADD(metric_misses_, 1);
     FinishLoad(page);
-    return PageHandle(this, page, new_frame, FrameData(new_frame));
+    return PageHandle(this, page, new_frame, FrameData(new_frame),
+                      &session.live_pins_);
   }
 }
 

@@ -16,6 +16,7 @@
 //     BP-Wrapper can re-validate queued accesses at commit time (§IV-B).
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <memory>
 #include <unordered_set>
@@ -36,7 +37,8 @@ namespace bpw {
 class BufferPool;
 
 /// RAII pin on a buffer page. While a handle is live the page cannot be
-/// evicted. Move-only.
+/// evicted. Move-only. A handle counts towards the pin tally of the session
+/// that fetched it, so it must not outlive that session.
 class PageHandle {
  public:
   PageHandle() = default;
@@ -63,13 +65,24 @@ class PageHandle {
 
  private:
   friend class BufferPool;
-  PageHandle(BufferPool* pool, PageId page, FrameId frame, uint8_t* data)
-      : pool_(pool), page_(page), frame_(frame), data_(data) {}
+  PageHandle(BufferPool* pool, PageId page, FrameId frame, uint8_t* data,
+             std::atomic<size_t>* session_pins)
+      : pool_(pool),
+        page_(page),
+        frame_(frame),
+        data_(data),
+        session_pins_(session_pins) {
+    session_pins_->fetch_add(1, std::memory_order_relaxed);
+  }
 
   BufferPool* pool_ = nullptr;
   PageId page_ = kInvalidPageId;
   FrameId frame_ = kInvalidFrameId;
   uint8_t* data_ = nullptr;
+  // The fetching session's live-pin tally (BufferPool::Session::live_pins_).
+  std::atomic<size_t>* session_pins_ BPW_RELAXED_OK(
+      "pin tally only decides wait-vs-fail; the frame pin counts order "
+      "the data") = nullptr;
 };
 
 /// Counters a worker accumulates locally (merged by the driver).
@@ -89,7 +102,9 @@ struct BufferPoolConfig {
   size_t page_size = kDefaultPageSize;
   size_t table_shards = 128;
   /// Maximum ChooseVictim retries when races invalidate the chosen victim
-  /// before giving the scheduler a chance to run.
+  /// (another thread pins it between selection and latching). It bounds only
+  /// that race: when no frame is evictable at all, the miss waits for other
+  /// sessions' unpins instead (see BufferPool::FetchPage).
   int eviction_retries = 64;
   /// MUTATION KNOB — tests only. Skips the eviction-time re-validation that
   /// a chosen victim is still unpinned and still holds the selected page.
@@ -118,6 +133,13 @@ class BufferPool {
         : slot_(std::move(slot)) {}
     std::unique_ptr<Coordinator::ThreadSlot> slot_;
     AccessStats stats_;
+    // Pins held through this session's live PageHandles: each handle adds
+    // one when FetchPage creates it and subtracts it on Release. A miss that
+    // finds every frame pinned fails only when this tally covers the whole
+    // pool (no other session's unpin can come); otherwise it waits.
+    std::atomic<size_t> live_pins_{0} BPW_RELAXED_OK(
+        "pin tally only decides wait-vs-fail; the frame pin counts order "
+        "the data");
   };
 
   /// @param coordinator owns the replacement policy; the pool binds its
@@ -135,7 +157,11 @@ class BufferPool {
   std::unique_ptr<Session> CreateSession();
 
   /// Fetches `page`, reading it from storage on a miss, and returns a
-  /// pinned handle.
+  /// pinned handle. A miss that finds every frame pinned waits for another
+  /// session to unpin one. It fails with ResourceExhausted when `session`
+  /// itself pins every frame of the pool (waiting cannot help), when
+  /// eviction kept racing with pinners past `eviction_retries`, or when the
+  /// wait ran past the pool's wedge bound.
   StatusOr<PageHandle> FetchPage(Session& session, PageId page)
       BPW_HOLD_EFFECT_OK(alloc, "free-list push_back into capacity reserved "
                                 "for num_frames at construction");

@@ -33,8 +33,11 @@ void ClockPolicy::OnMiss(PageId page, FrameId frame) {
 StatusOr<ReplacementPolicy::Victim> ClockPolicy::ChooseVictim(
     const EvictableFn& evictable, PageId /*incoming*/) {
   // Two full sweeps suffice in the single-threaded case: the first sweep
-  // clears every reference bit, the second finds a ref==0 frame. A third is
-  // allowed to paper over evictability churn under concurrency.
+  // clears every reference bit, the second finds a ref==0 frame. Lock-free
+  // hitters can re-set bits behind the hand, so a third, final sweep takes
+  // the first evictable frame whatever its bit: ResourceExhausted then
+  // really means no frame passed `evictable`.
+  const size_t final_sweep = 2 * nodes_.size();
   const size_t limit = 3 * nodes_.size();
   for (size_t step = 0; step < limit; ++step) {
     Node& node = nodes_[hand_];
@@ -44,7 +47,7 @@ StatusOr<ReplacementPolicy::Victim> ClockPolicy::ChooseVictim(
     if (!evictable(frame)) continue;
     if (node.ref.load(std::memory_order_relaxed)) {
       node.ref.store(false, std::memory_order_relaxed);  // second chance
-      continue;
+      if (step < final_sweep) continue;
     }
     node.resident.store(false, std::memory_order_relaxed);
     --resident_;

@@ -39,7 +39,12 @@ void GClockPolicy::OnMiss(PageId page, FrameId frame) {
 
 StatusOr<ReplacementPolicy::Victim> GClockPolicy::ChooseVictim(
     const EvictableFn& evictable, PageId /*incoming*/) {
-  // Worst case the hand must decrement max_count_ counters to zero.
+  // Worst case the hand must decrement max_count_ counters to zero, so
+  // max_count_ + 1 sweeps suffice single-threaded. Lock-free hitters can
+  // raise counts behind the hand, so the final sweep takes the first
+  // evictable frame whatever its count: ResourceExhausted then really
+  // means no frame passed `evictable`.
+  const size_t final_sweep = (max_count_ + 1) * nodes_.size();
   const size_t limit = (max_count_ + 2) * nodes_.size();
   for (size_t step = 0; step < limit; ++step) {
     Node& node = nodes_[hand_];
@@ -50,7 +55,7 @@ StatusOr<ReplacementPolicy::Victim> GClockPolicy::ChooseVictim(
     uint32_t c = node.count.load(std::memory_order_relaxed);
     if (c > 0) {
       node.count.store(c - 1, std::memory_order_relaxed);
-      continue;
+      if (step < final_sweep) continue;
     }
     node.resident.store(false, std::memory_order_relaxed);
     --resident_;

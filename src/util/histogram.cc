@@ -30,6 +30,10 @@ int Histogram::BucketFor(uint64_t value) {
 uint64_t Histogram::BucketLow(int bucket) {
   if (bucket < 4) return static_cast<uint64_t>(bucket);
   int log2 = (bucket + 4) / 4;
+  // The buckets past BucketFor(~0ULL) would start at 2^64 or above; no
+  // value lands in them, and their bound saturates rather than shifting a
+  // 64-bit word by 64.
+  if (log2 >= 64) return std::numeric_limits<uint64_t>::max();
   int sub = (bucket + 4) % 4;
   return (1ULL << log2) + (static_cast<uint64_t>(sub) << (log2 - 2));
 }

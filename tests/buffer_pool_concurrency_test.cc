@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <thread>
 #include <vector>
 
 #include "buffer/buffer_pool.h"
 #include "core/coordinator_factory.h"
+#include "testing/schedule_point.h"
 #include "util/random.h"
 
 namespace bpw {
@@ -190,6 +192,87 @@ TEST(PoolConcurrencyTest, SingleFlightLoadsOncePerPage) {
   EXPECT_EQ(storage.stats().reads, 1u)
       << "duplicate I/O for concurrently-faulted page";
 }
+
+#if BPW_SCHEDULE_POINTS
+
+// Leaves the schedule untouched (Perturb is a no-op) and counts the yields
+// of a miss waiting for an evictable frame.
+class EvictRetryCounter : public testing::ScheduleController {
+ public:
+  void Perturb(const char* /*point*/, const void* /*obj*/) override {}
+  void Yield(const char* point) override {
+    if (std::strcmp(point, "pool.evict_retry") == 0) {
+      evict_retries_.fetch_add(1);
+    }
+    ScheduleController::Yield(point);
+  }
+  uint64_t evict_retries() const { return evict_retries_.load(); }
+
+ private:
+  std::atomic<uint64_t> evict_retries_{0};
+};
+
+TEST(PoolConcurrencyTest, MissWaitsForAnotherSessionsUnpin) {
+  // Every frame pinned by another session is a transient state: the miss
+  // must wait for the unpin, however long past eviction_retries it comes,
+  // and then succeed.
+  StorageEngine storage(16, kPageSize);
+  SystemConfig system;
+  system.policy = "lru";
+  system.coordinator = "serialized";
+  auto coordinator = CreateCoordinator(system, 2);
+  ASSERT_TRUE(coordinator.ok());
+  BufferPoolConfig config;
+  config.num_frames = 2;
+  config.page_size = kPageSize;
+  config.eviction_retries = 2;
+  BufferPool pool(config, &storage, std::move(coordinator).value());
+
+  auto session_a = pool.CreateSession();
+  auto h0 = pool.FetchPage(*session_a, 0);
+  auto h1 = pool.FetchPage(*session_a, 1);
+  ASSERT_TRUE(h0.ok());
+  ASSERT_TRUE(h1.ok());
+
+  EvictRetryCounter controller;
+  controller.Install();
+  std::atomic<bool> fetch_returned{false};
+  Status fetch_status;
+  std::thread b([&] {
+    auto session_b = pool.CreateSession();
+    auto handle = pool.FetchPage(*session_b, 2);
+    fetch_status = handle.status();
+    if (handle.ok()) {
+      EXPECT_EQ(handle->page(), 2u);
+    }
+    fetch_returned.store(true);
+  });
+  // Release a pin only once B has waited out more than eviction_retries
+  // (or has already given up).
+  while (controller.evict_retries() <=
+             static_cast<uint64_t>(config.eviction_retries) &&
+         !fetch_returned.load()) {
+    std::this_thread::yield();
+  }
+  h0.value().Release();
+  b.join();
+  controller.Uninstall();
+
+  EXPECT_GT(controller.evict_retries(),
+            static_cast<uint64_t>(config.eviction_retries));
+  EXPECT_TRUE(fetch_status.ok()) << fetch_status.ToString();
+  h1.value().Release();
+  EXPECT_TRUE(pool.CheckIntegrity().ok());
+}
+
+#else  // !BPW_SCHEDULE_POINTS
+
+TEST(PoolConcurrencyTest, MissWaitsForAnotherSessionsUnpin) {
+  GTEST_SKIP() << "counting the miss's retries requires schedule points; "
+                  "this build has -DBPW_SCHEDULE_POINTS=0";
+}
+
+#endif  // BPW_SCHEDULE_POINTS
 
 }  // namespace
 }  // namespace bpw

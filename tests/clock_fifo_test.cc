@@ -8,6 +8,7 @@
 #include "policy/clock.h"
 #include "policy/fifo.h"
 #include "policy/gclock.h"
+#include "stop_and_join.h"
 
 namespace bpw {
 namespace {
@@ -94,6 +95,7 @@ TEST(ClockTest, ConcurrentLockFreeHitsDuringSweep) {
   for (PageId p = 0; p < 64; ++p) clock.OnMiss(p, static_cast<FrameId>(p));
   std::atomic<bool> stop{false};
   std::vector<std::thread> hitters;
+  StopAndJoin stop_hitters(stop, hitters);
   for (int t = 0; t < 4; ++t) {
     hitters.emplace_back([&clock, &stop, t] {
       uint64_t i = 0;
@@ -110,9 +112,27 @@ TEST(ClockTest, ConcurrentLockFreeHitsDuringSweep) {
     ASSERT_TRUE(v.ok());
     clock.OnMiss(1000 + i, v->frame);
   }
-  stop.store(true);
-  for (auto& th : hitters) th.join();
+  stop_hitters.Now();
   EXPECT_EQ(clock.resident_count(), 64u);
+}
+
+TEST(ClockTest, VictimFoundWhileHitsReSetEveryBit) {
+  // The worst case for the hand: a hit re-sets each frame's reference bit
+  // just before the hand inspects it (here deterministically, from inside
+  // the evictability probe). Every frame is evictable, so ChooseVictim must
+  // still return one rather than ResourceExhausted.
+  ClockPolicy clock(8);
+  clock.AssertExclusiveAccess();
+  for (PageId p = 0; p < 8; ++p) clock.OnMiss(p, static_cast<FrameId>(p));
+  auto v = clock.ChooseVictim(
+      [&clock](FrameId f) {
+        clock.OnHitLockFree(f, f);
+        return true;
+      },
+      100);
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(clock.resident_count(), 7u);
+  EXPECT_TRUE(clock.CheckInvariants().ok());
 }
 
 TEST(GClockTest, CounterSaturatesAtCap) {
@@ -146,6 +166,23 @@ TEST(GClockTest, EvictionDecrementsUntilZero) {
   auto v = gclock.ChooseVictim(All(), 9);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->page, 42u);  // only candidate; sweep decrements then evicts
+}
+
+TEST(GClockTest, VictimFoundWhileHitsRaiseEveryCount) {
+  // GCLOCK's version of the hand's worst case: each frame's count is pushed
+  // back to the cap just before the hand inspects it.
+  GClockPolicy gclock(8, 3);
+  gclock.AssertExclusiveAccess();
+  for (PageId p = 0; p < 8; ++p) gclock.OnMiss(p, static_cast<FrameId>(p));
+  auto v = gclock.ChooseVictim(
+      [&gclock](FrameId f) {
+        for (int i = 0; i < 3; ++i) gclock.OnHitLockFree(f, f);
+        return true;
+      },
+      100);
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(gclock.resident_count(), 7u);
+  EXPECT_TRUE(gclock.CheckInvariants().ok());
 }
 
 }  // namespace

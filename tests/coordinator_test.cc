@@ -2,6 +2,7 @@
 // (including the paper's five named systems of Table I).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "core/coordinator_factory.h"
 #include "core/serialized_coordinator.h"
 #include "policy/lru.h"
+#include "stop_and_join.h"
 
 namespace bpw {
 namespace {
@@ -122,6 +124,7 @@ TEST(ClockCoordinatorTest, ConcurrentHitsWithEvictions) {
   }
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
+  StopAndJoin stop_hitters(stop, threads);
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&coord, &stop] {
       auto slot = coord.RegisterThread();
@@ -139,8 +142,7 @@ TEST(ClockCoordinatorTest, ConcurrentHitsWithEvictions) {
     ASSERT_TRUE(v.ok());
     coord.CompleteMiss(slot.get(), 1000 + i, v->frame);
   }
-  stop.store(true);
-  for (auto& th : threads) th.join();
+  stop_hitters.Now();
   const ReplacementPolicy& policy = coord.policy();
   policy.AssertExclusiveAccess();  // workers joined: exclusive again
   EXPECT_EQ(policy.resident_count(), 32u);

@@ -117,6 +117,22 @@ TEST(HistogramTest, HugeValuesClampToLastBucket) {
   EXPECT_EQ(h.max(), ~0ULL);
 }
 
+TEST(HistogramTest, BucketBoundsRiseAndRoundTripOverEveryBucket) {
+  // Every bucket index is a valid BucketLow argument (the contention
+  // profiler and the percentile interpolation walk all kNumBuckets): the
+  // bounds never decrease, and every bucket a value can land in maps back
+  // to itself.
+  const int last_reachable = Histogram::BucketFor(~0ULL);
+  for (int b = 1; b < Histogram::kNumBuckets; ++b) {
+    EXPECT_GE(Histogram::BucketLow(b), Histogram::BucketLow(b - 1))
+        << "bucket " << b;
+    if (b <= last_reachable) {
+      EXPECT_EQ(Histogram::BucketFor(Histogram::BucketLow(b)), b)
+          << "bucket " << b;
+    }
+  }
+}
+
 TEST(HistogramTest, ToStringMentionsCount) {
   Histogram h;
   h.Record(5);

@@ -500,11 +500,18 @@ TEST(ShardedStampTest, ConcurrentStampingStaysConsistent) {
   // snapshot therefore has page/1000 == the tick's writer... too strong
   // (ticks are global). Instead: page encodes (writer, seq) and any
   // observed pair must simply be one that was genuinely written.
+  // The writers wait for the reader to be running, so reads overlap the
+  // writes however the OS schedules the threads; the reader's last pass
+  // after `stop` sees every frame's final published stamp.
   std::atomic<bool> stop{false};
+  std::atomic<bool> reader_running{false};
   std::vector<std::thread> threads;
   for (int t = 0; t < kWriters; ++t) {
-    threads.emplace_back([&coord, t] {
+    threads.emplace_back([&coord, &reader_running, t] {
       auto slot = coord.RegisterThread();
+      while (!reader_running.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
       for (int i = 0; i < kIters; ++i) {
         const FrameId frame = static_cast<FrameId>(i % kFrames);
         const PageId page = static_cast<PageId>(t) * 1000000 + i;
@@ -513,9 +520,12 @@ TEST(ShardedStampTest, ConcurrentStampingStaysConsistent) {
       coord.FlushSlot(slot.get());
     });
   }
-  threads.emplace_back([&coord, &stop] {
+  threads.emplace_back([&coord, &stop, &reader_running] {
+    reader_running.store(true, std::memory_order_release);
     uint64_t reads = 0;
-    while (!stop.load(std::memory_order_acquire)) {
+    bool last_pass = false;
+    do {
+      last_pass = stop.load(std::memory_order_acquire);
       for (FrameId f = 0; f < kFrames; ++f) {
         PageId page = kInvalidPageId;
         uint64_t tick = 0;
@@ -526,7 +536,7 @@ TEST(ShardedStampTest, ConcurrentStampingStaysConsistent) {
         EXPECT_LT(page / 1000000, static_cast<PageId>(kWriters));
         EXPECT_GT(tick, 0u);
       }
-    }
+    } while (!last_pass);
     EXPECT_GT(reads, 0u);
   });
   for (int t = 0; t < kWriters; ++t) threads[t].join();

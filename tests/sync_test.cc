@@ -115,6 +115,10 @@ TEST(ContentionLockTest, TimingInstrumentationRecordsWaitTime) {
   ContentionLock lock(LockInstrumentation::kTiming);
   lock.Lock();
   std::thread waiter([&] { lock.Lock(); lock.Unlock(); });
+  // Hold on until the waiter has failed its immediate acquisition: Lock()
+  // counts the contention just before its timed wait starts, so the 5 ms
+  // below all fall inside that wait.
+  while (lock.stats().contentions < 1) std::this_thread::yield();
   BusyWaitNanos(5'000'000);
   lock.Unlock();
   waiter.join();
